@@ -5,36 +5,38 @@
 //! Writes two JSON reports at the repository root so before/after numbers
 //! ride with the code:
 //!
-//! * `BENCH_kernels.json` — `gemm_nt_acc` reference vs packed over a grid
-//!   of panel-shaped `(m, n, k)` cases;
+//! * `BENCH_kernels.json` — `gemm_nt_acc_ref` vs `gemm_nt_acc_packed` over
+//!   a grid of panel-shaped `(m, n, k)` cases;
 //! * `BENCH_factorize.json` — sequential LDLᵀ wall time and Gflop/s per
-//!   problem under [`KernelMode::Reference`] vs [`KernelMode::Auto`] (the
-//!   packed path above the dispatch threshold), with a factor checksum per
-//!   mode.
+//!   problem for the seed formulation ([`factorize_seed`]: unblocked
+//!   diagonal factor, one axpy-reference GEMM per block pair) vs the
+//!   production [`factorize_sequential`] (blocked diagonal factor, fused
+//!   products, packed path above the size threshold), with a factor
+//!   checksum per side.
 //!
-//! The process exits non-zero if the two modes' factor checksums diverge
-//! beyond round-off — the packed path must be a pure reassociation of the
-//! reference arithmetic, never a different answer. `--quick` shrinks reps
+//! The process exits non-zero if the two factor checksums diverge beyond
+//! round-off — the production path must be a pure reassociation of the
+//! seed arithmetic, never a different answer. `--quick` shrinks reps
 //! and problem scale for CI; `PASTIX_SCALE` / `PASTIX_PROBLEMS` apply to
 //! the full run as in the other binaries.
 
-use pastix_bench::{gflops, prepare, scale, scotch_ordering};
+use pastix_bench::{
+    factor_checksum, factorize_seed, gflops, prepare, scale, scotch_ordering, CHECKSUM_RTOL,
+};
 use pastix_graph::ProblemId;
 use pastix_json::{num_arr, obj, Json};
-use pastix_kernels::gemm::{gemm_nt_acc, gemm_nt_acc_ref};
-use pastix_kernels::{blocking_for, KernelMode};
+use pastix_kernels::blocking_for;
+use pastix_kernels::gemm::gemm_nt_acc_ref;
+use pastix_kernels::pack::gemm_nt_acc_packed;
+use pastix_kernels::FactorError;
 use pastix_machine::probe_blocking;
 use pastix_solver::{factorize_sequential, FactorStorage};
+use pastix_symbolic::SymbolMatrix;
 use pastix_trace::TraceOptions;
 use std::time::Instant;
 
 const KERNELS_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kernels.json");
 const FACTORIZE_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_factorize.json");
-
-/// Checksum gate: the packed path reassociates sums, so per-entry
-/// round-off differs, but the aggregate must agree to far better than
-/// this.
-const CHECKSUM_RTOL: f64 = 1e-7;
 
 /// Acceptance target from the issue: packed sequential factorization
 /// throughput on the largest problem vs the seed axpy path.
@@ -58,7 +60,7 @@ fn main() {
     println!("wrote {FACTORIZE_PATH}");
 
     if !checksums_ok {
-        eprintln!("FAIL: packed/reference factor checksums diverged (see BENCH_factorize.json)");
+        eprintln!("FAIL: seed/production factor checksums diverged (see BENCH_factorize.json)");
         std::process::exit(1);
     }
 }
@@ -107,10 +109,7 @@ fn bench_kernels(quick: bool) -> Json {
         let reps = ((target_madds / madds).ceil() as usize).max(3);
         let flops = 2.0 * madds * reps as f64;
         let t_ref = time_gemm(gemm_nt_acc_ref::<f64>, m, n, k, reps);
-        let t_pack = {
-            let _mode = KernelMode::Packed.scoped();
-            time_gemm(gemm_nt_acc::<f64>, m, n, k, reps)
-        };
+        let t_pack = time_gemm(gemm_nt_acc_packed::<f64>, m, n, k, reps);
         let (gf_ref, gf_pack) = (gflops(flops, t_ref), gflops(flops, t_pack));
         let speedup = t_ref / t_pack;
         println!("{m:>5} {n:>5} {k:>5} {reps:>6}  {gf_ref:>10.2} {gf_pack:>10.2} {speedup:>7.2}x");
@@ -136,16 +135,11 @@ fn bench_kernels(quick: bool) -> Json {
     ])
 }
 
-/// Sum of entry magnitudes over every factor panel: a single scalar that
-/// any arithmetic divergence between kernel paths would move.
-fn factor_checksum(st: &FactorStorage<f64>) -> f64 {
-    st.panels.iter().flatten().map(|x| x.abs()).sum()
-}
-
-/// Best-of-`reps` sequential factorization time under the current kernel
-/// mode, plus the checksum of the last factor.
+/// Best-of-`reps` time of one sequential factorization formulation, plus
+/// the checksum of the last factor.
 fn time_factorize(
-    sym: &pastix_symbolic::SymbolMatrix,
+    factorize: fn(&SymbolMatrix, &mut FactorStorage<f64>) -> Result<(), FactorError>,
+    sym: &SymbolMatrix,
     ap: &pastix_graph::SymCsc<f64>,
     reps: usize,
 ) -> (f64, f64) {
@@ -155,7 +149,7 @@ fn time_factorize(
         let mut st = FactorStorage::zeros(sym);
         st.scatter(sym, ap);
         let t0 = Instant::now();
-        factorize_sequential(sym, &mut st).expect("factorization failed");
+        factorize(sym, &mut st).expect("factorization failed");
         best = best.min(t0.elapsed().as_secs_f64());
         checksum = factor_checksum(&st);
     }
@@ -168,7 +162,7 @@ fn time_factorize(
 /// tracer with machine drift). Returns `(overhead_fraction, events)` from
 /// the best rep of each side.
 fn measure_trace_overhead(
-    sym: &pastix_symbolic::SymbolMatrix,
+    sym: &SymbolMatrix,
     ap: &pastix_graph::SymCsc<f64>,
     reps: usize,
 ) -> (f64, u64) {
@@ -223,11 +217,8 @@ fn bench_factorize(quick: bool) -> (Json, bool) {
         let ap = prep.matrix.permuted(&prep.analysis.perm);
         let opc = prep.analysis.scalar_opc;
 
-        let (t_ref, ck_ref) = {
-            let _mode = KernelMode::Reference.scoped();
-            time_factorize(sym, &ap, reps)
-        };
-        let (t_pack, ck_pack) = time_factorize(sym, &ap, reps);
+        let (t_ref, ck_ref) = time_factorize(factorize_seed, sym, &ap, reps);
+        let (t_pack, ck_pack) = time_factorize(factorize_sequential, sym, &ap, reps);
 
         let speedup = t_ref / t_pack;
         let rel = (ck_ref - ck_pack).abs() / ck_ref.abs().max(1.0);
@@ -274,7 +265,7 @@ fn bench_factorize(quick: bool) -> (Json, bool) {
         if trace_ok { "MET" } else { "NOT MET" }
     );
     let report = obj([
-        ("bench", Json::Str("sequential LDLt, packed vs reference kernels".into())),
+        ("bench", Json::Str("sequential LDLt, production vs seed formulation".into())),
         ("mode", Json::Str(if quick { "quick" } else { "full" }.into())),
         ("scale", Json::Num(sc)),
         ("reps", Json::Num(reps as f64)),

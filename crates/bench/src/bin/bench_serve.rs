@@ -34,7 +34,7 @@ use pastix_graph::{ProblemId, SymCsc};
 use pastix_json::{obj, Json};
 use pastix_runtime::sim::{FaultPlan, SchedPolicy};
 use pastix_runtime::Backend;
-use pastix_sched::SchedOptions;
+use pastix_sched::{solve_schedule, SchedOptions};
 use pastix_serve::{RequestQueue, SessionOptions, SolverSession};
 use pastix_solver::SolverConfig;
 use pastix_trace::export::chrome_trace;
@@ -314,7 +314,11 @@ fn main() {
     let mut sim_session = SolverSession::<f64>::new(session_opts(procs, block, sim_cfg));
     let cached = sim_session.get_or_factorize(&a).expect("sim factorization");
     let (_, log) = sim_session.solve_panel(&a, &panel, K).expect("sim panel solve");
-    let report = build_solve_report(&cached.ssched, &log);
+    let ssched = solve_schedule(
+        cached.plan.graph(),
+        cached.plan.schedule().expect("session plans carry a static schedule"),
+    );
+    let report = build_solve_report(&ssched, &log);
     println!("{}", report.render());
     let reconcile_ok = report.reconciliation >= RECONCILE_MIN;
     println!(

@@ -13,8 +13,8 @@
 //!   small tiles;
 //! * the **cache-blocked packed path** of [`crate::pack`]: `MC×KC×NC`
 //!   tiling with packed operand panels and an `MR×NR` register microkernel,
-//!   which the dispatcher selects for products large enough to amortize the
-//!   packing (see [`crate::pack::KernelMode`] to force either side).
+//!   which the dispatcher selects by block shape alone, for products large
+//!   enough to amortize the packing.
 //!
 //! No `unsafe` is needed anywhere.
 

@@ -24,7 +24,6 @@
 //! `probe_blocking`).
 
 use crate::scalar::Scalar;
-use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
 /// Rows of the register microkernel's accumulator block.
@@ -115,72 +114,15 @@ pub fn blocking_for<T: Scalar>() -> BlockSizes {
         .unwrap_or_else(|| BlockSizes::default_for_elem_size(bytes))
 }
 
-/// Which implementation the public GEMM entry points dispatch to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[repr(u8)]
-pub enum KernelMode {
-    /// Packed path for large products, axpy reference below the packing
-    /// break-even (default).
-    #[default]
-    Auto = 0,
-    /// Always the seed's axpy reference — the "before" side of the bench
-    /// harness and the oracle of the divergence checks.
-    Reference = 1,
-    /// Always the packed path, regardless of size.
-    Packed = 2,
-}
-
-static KERNEL_MODE: AtomicU8 = AtomicU8::new(KernelMode::Auto as u8);
-
-impl KernelMode {
-    /// Installs this mode process-wide and returns a guard that restores
-    /// the previous mode when dropped. The scoped form is the supported
-    /// replacement for the deprecated bare setters: it composes (nested
-    /// scopes unwind in order) and cannot leak a mode into unrelated code
-    /// the way the fire-and-forget global store did. Solver entry points
-    /// apply `SolverConfig::kernel_mode` through this.
-    #[must_use = "the mode reverts when the guard drops"]
-    pub fn scoped(self) -> KernelModeGuard {
-        let prev = KERNEL_MODE.swap(self as u8, Ordering::Relaxed);
-        KernelModeGuard { prev }
-    }
-}
-
-/// Restores the previous [`KernelMode`] on drop; created by
-/// [`KernelMode::scoped`].
-#[derive(Debug)]
-pub struct KernelModeGuard {
-    prev: u8,
-}
-
-impl Drop for KernelModeGuard {
-    fn drop(&mut self) {
-        KERNEL_MODE.store(self.prev, Ordering::Relaxed);
-    }
-}
-
-/// Current dispatch mode.
-pub fn kernel_mode() -> KernelMode {
-    match KERNEL_MODE.load(Ordering::Relaxed) {
-        1 => KernelMode::Reference,
-        2 => KernelMode::Packed,
-        _ => KernelMode::Auto,
-    }
-}
-
 /// Packing + tile bookkeeping only pays off once the product is a few
 /// thousand multiply-adds; below this the axpy reference wins.
 const PACKED_MIN_MADDS: usize = 16 * 1024;
 
 /// `true` when the dispatcher should take the packed path for an
-/// `m × n × k` product under the current [`KernelMode`].
+/// `m × n × k` product: block shape is the only input.
 #[inline]
 pub(crate) fn use_packed(m: usize, n: usize, k: usize) -> bool {
-    match kernel_mode() {
-        KernelMode::Reference => false,
-        KernelMode::Packed => true,
-        KernelMode::Auto => m * n * k >= PACKED_MIN_MADDS,
-    }
+    m * n * k >= PACKED_MIN_MADDS
 }
 
 /// How `B` is read while packing: `Nt` takes `B` as `n × k` (the `A·Bᵀ`
@@ -503,25 +445,6 @@ mod tests {
         assert_eq!(bs.mc % MR, 0);
         assert_eq!(bs.nc % NR, 0);
         assert!(bs.kc >= 1);
-    }
-
-    // The mode tests mutate one process-global; serialize them.
-    static MODE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-    #[test]
-    fn kernel_mode_scoped_restores() {
-        let _serial = MODE_LOCK.lock().unwrap();
-        let before = kernel_mode();
-        {
-            let _g = KernelMode::Packed.scoped();
-            assert_eq!(kernel_mode(), KernelMode::Packed);
-            {
-                let _g2 = KernelMode::Reference.scoped();
-                assert_eq!(kernel_mode(), KernelMode::Reference);
-            }
-            assert_eq!(kernel_mode(), KernelMode::Packed);
-        }
-        assert_eq!(kernel_mode(), before);
     }
 
     #[test]

@@ -12,16 +12,17 @@
 //!   assembly: the cache key;
 //! * [`SolverSession`] — an LRU cache of [`CachedFactor`]s (the analyzed
 //!   `pastix_solver::Plan` — permutation, symbol, static schedule — plus
-//!   factor and solve schedule) with capacity and byte-budget eviction
-//!   and hit/miss counters in the session's `MetricsRegistry`;
+//!   the factor) with capacity and byte-budget eviction and hit/miss
+//!   counters in the session's `MetricsRegistry`;
 //! * [`RequestQueue`] — coalesces incoming right-hand sides into blocked
 //!   multi-RHS panels served through `FactorRun::solve_request`, whose
 //!   per-blok trailing updates are GEMM-shaped instead of one GEMV per
 //!   RHS;
-//! * the level-set solve schedule (`pastix_sched::solve_schedule`) rides
-//!   in every cache entry, so serving traces reconcile predicted-vs-
-//!   measured through `pastix_trace::report::build_solve_report` exactly
-//!   like the factorization;
+//! * every cache entry's plan carries the static schedule, from which
+//!   `pastix_sched::solve_schedule` builds the level-set solve schedule
+//!   that serving traces reconcile against through
+//!   `pastix_trace::report::build_solve_report`, exactly like the
+//!   factorization;
 //! * [`RequestTrace`] — per-request distributed tracing: every admitted
 //!   request becomes a parent async span on a reserved serve track with
 //!   child stage spans (queue wait, coalesce, analyze, factorize, solve)

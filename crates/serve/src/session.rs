@@ -4,8 +4,7 @@
 //! The production shape of a direct solver is factorize-once,
 //! solve-millions-of-times. [`SolverSession`] keeps the expensive
 //! artifacts of each distinct matrix — ordering, symbol, static schedule,
-//! assembled factor, and the level-set [`SolveSchedule`] of the solve DAG
-//! — behind a [`MatrixFingerprint`] key, so repeat requests against a
+//! and assembled factor — behind a [`MatrixFingerprint`] key, so repeat requests against a
 //! known matrix skip straight to the triangular sweeps. Capacity and
 //! byte-budget eviction bound the resident set; hit/miss/eviction
 //! counters land in the session's [`MetricsRegistry`].
@@ -14,7 +13,7 @@ use crate::fingerprint::MatrixFingerprint;
 use pastix_graph::{Parallelism, SymCsc};
 use pastix_kernels::{FactorError, Scalar};
 use pastix_ordering::OrderingOptions;
-use pastix_sched::{solve_schedule, SchedOptions, SolveSchedule};
+use pastix_sched::SchedOptions;
 use pastix_solver::{
     AnalyzeOptions, FactorRun, Plan, SolveRequest, SolverConfig,
 };
@@ -46,8 +45,7 @@ pub struct SessionOptions {
     /// Repartitioning/scheduling knobs.
     pub sched: SchedOptions,
     /// Execution and observability configuration shared by the
-    /// factorization and every solve (backend, kernel mode, tracing,
-    /// metrics).
+    /// factorization and every solve (backend, tracing, metrics).
     pub solver: SolverConfig,
     /// Opt-in Prometheus scrape endpoint: bind address (e.g.
     /// `"127.0.0.1:0"` for an ephemeral port) serving the session
@@ -91,9 +89,6 @@ pub struct CachedFactor<T> {
     /// The assembled factor with its observability artifacts (carries the
     /// plan, so [`FactorRun::solve_request`] works directly).
     pub run: FactorRun<T>,
-    /// Level-set schedule of the solve DAG, reconcilable against solve
-    /// traces via `pastix_trace::report::build_solve_report`.
-    pub ssched: SolveSchedule,
     /// Resident factor bytes **as stored**: dense panel bytes plus the
     /// `U`/`V` bytes of compressed bloks ([`FactorStorage::factor_bytes`]
     /// of the run), so a block-low-rank factor charges the byte budget
@@ -197,8 +192,8 @@ impl<T: Scalar> SolverSession<T> {
     }
 
     /// Returns the cached factorization of `a`, running the full
-    /// pipeline (ordering → symbol → schedule → numeric factorization →
-    /// solve schedule) on a miss.
+    /// pipeline (ordering → symbol → schedule → numeric factorization)
+    /// on a miss.
     pub fn get_or_factorize(&mut self, a: &SymCsc<T>) -> Result<Arc<CachedFactor<T>>, FactorError> {
         Ok(self.get_or_factorize_info(a)?.0)
     }
@@ -238,16 +233,11 @@ impl<T: Scalar> SolverSession<T> {
         let t0 = std::time::Instant::now();
         let run = plan.factorize(a, &cfg)?;
         self.metrics.observe("serve.factorize_ns", t0.elapsed().as_nanos() as u64);
-        let ssched = solve_schedule(
-            plan.graph(),
-            plan.schedule().expect("session plans always carry a static schedule"),
-        );
         let bytes = run.storage.factor_bytes();
         let entry = Arc::new(CachedFactor {
             fingerprint: fp,
             plan,
             run,
-            ssched,
             bytes,
         });
 

@@ -1,10 +1,8 @@
 //! The unified solver configuration and the factorization run result.
 //!
-//! One [`SolverConfig`] value carries everything that used to be
-//! scattered across three places: the execution knobs (backend, memory
-//! cap, chaos), the kernel-dispatch mode, and the tracing/metrics
-//! surface. Entry points apply the kernel mode through a
-//! scoped guard (restored on exit) and hand back a [`FactorRun`] that
+//! One [`SolverConfig`] value carries the execution knobs (backend,
+//! memory cap, chaos), the analyze and compression options, and the
+//! tracing/metrics surface. Entry points hand back a [`FactorRun`] that
 //! bundles the factor with the run's [`TraceLog`] and the
 //! [`MetricsRegistry`] handle that collected its counters.
 
@@ -12,16 +10,14 @@ use crate::compress::CompressionConfig;
 use crate::parallel::ChaosOptions;
 use crate::plan::{AnalyzeOptions, PlanCtx};
 use crate::storage::FactorStorage;
-use pastix_kernels::KernelMode;
 use pastix_runtime::Backend;
 use pastix_trace::{MetricsRegistry, TraceLog, TraceOptions};
 
 /// Unified configuration of the parallel factorization and solve entry
-/// points: execution backend, solver-level knobs, kernel dispatch mode,
-/// and the observability surface. `Clone` is cheap (the registry handle is
-/// an `Arc` bump) and the default value reproduces the old defaults
-/// exactly: thread backend, pure fan-in, no chaos, `KernelMode::Auto`,
-/// tracing off.
+/// points: execution backend, solver-level knobs, and the observability
+/// surface. `Clone` is cheap (the registry handle is an `Arc` bump) and
+/// the default value is: thread backend, pure fan-in, no chaos, tracing
+/// off.
 #[derive(Debug, Clone, Default)]
 pub struct SolverConfig {
     /// Execution backend: real OS threads ([`Backend::Threads`], default)
@@ -36,9 +32,6 @@ pub struct SolverConfig {
     pub aub_memory_limit: Option<usize>,
     /// Fault injection for the chaos suite; off by default.
     pub chaos: ChaosOptions,
-    /// Kernel dispatch mode, applied for the duration of the run through
-    /// [`KernelMode::scoped`] and restored on exit.
-    pub kernel_mode: KernelMode,
     /// Task-level tracing; disabled by default (a disabled trace adds one
     /// thread-local `Option` check per record site).
     pub trace: TraceOptions,
@@ -66,7 +59,7 @@ pub struct SolverConfig {
 
 impl SolverConfig {
     /// The default configuration: thread backend, pure fan-in, no chaos,
-    /// `KernelMode::Auto`, tracing off.
+    /// tracing off.
     pub fn new() -> Self {
         Self::default()
     }
@@ -86,12 +79,6 @@ impl SolverConfig {
     /// Sets the chaos fault-injection options.
     pub fn with_chaos(mut self, chaos: ChaosOptions) -> Self {
         self.chaos = chaos;
-        self
-    }
-
-    /// Sets the kernel dispatch mode for the run.
-    pub fn with_kernel_mode(mut self, mode: KernelMode) -> Self {
-        self.kernel_mode = mode;
         self
     }
 
@@ -143,7 +130,8 @@ pub struct FactorRun<T> {
     /// handle in the driving [`SolverConfig`]).
     pub metrics: MetricsRegistry,
     /// The plan + config that produced this run (present when it came
-    /// through the `Plan` API; the deprecated shims leave it `None`).
+    /// through the `Plan` API; [`FactorRun::new`] leaves it `None` until
+    /// [`FactorRun::bind_plan`] attaches one).
     pub(crate) ctx: Option<PlanCtx>,
 }
 
@@ -182,7 +170,6 @@ mod tests {
         assert_eq!(c.backend, Backend::Threads);
         assert_eq!(c.aub_memory_limit, None);
         assert_eq!(c.chaos, ChaosOptions::default());
-        assert_eq!(c.kernel_mode, KernelMode::Auto);
         assert!(!c.trace.enabled);
         assert!(!c.compression.enabled(), "compression must default to off");
     }
@@ -191,10 +178,8 @@ mod tests {
     fn builder_chains() {
         let c = SolverConfig::new()
             .with_aub_memory_limit(Some(64))
-            .with_kernel_mode(KernelMode::Reference)
             .with_trace(pastix_trace::TraceOptions::deterministic());
         assert_eq!(c.aub_memory_limit, Some(64));
-        assert_eq!(c.kernel_mode, KernelMode::Reference);
         assert!(c.trace.enabled);
     }
 }

@@ -256,7 +256,6 @@ pub(crate) fn factorize_dynamic<T: Scalar>(
         std::ptr::eq(sym, &graph.split.symbol) || *sym == graph.split.symbol,
         "task graph was built for a different symbol matrix"
     );
-    let _mode = cfg.kernel_mode.scoped();
     let mut storage = FactorStorage::zeros(sym);
     storage.scatter(sym, a);
     let FactorStorage { layout, panels, compression: _ } = storage;

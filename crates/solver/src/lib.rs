@@ -2,16 +2,18 @@
 //!
 //! Numeric factorization and solve for the PaStiX reproduction:
 //!
-//! * [`plan`] — **the entry path**: [`Plan::analyze`] bundles the whole
-//!   pre-processing pipeline (ordering, symbolic analysis, mapping,
-//!   optional static schedule); [`Plan::factorize`] runs the numeric
-//!   phase on any backend and hands back a [`FactorRun`] whose
-//!   [`SolveRequest`]-driven solve method covers single- and multi-RHS;
+//! * [`plan`] — **the only entry path** into the parallel engines:
+//!   [`Plan::analyze`] bundles the whole pre-processing pipeline
+//!   (ordering, symbolic analysis, mapping, optional static schedule);
+//!   [`Plan::factorize`] runs the numeric phase on any backend and hands
+//!   back a [`FactorRun`] whose [`SolveRequest`]-driven solve method
+//!   covers single- and multi-RHS;
 //! * [`storage`] — the dense-panel factor storage (the real PaStiX layout:
 //!   one contiguous column-major panel per column block);
 //! * [`seq`] — the sequential supernodal `L·D·Lᵀ` reference (one `COMP1D`
-//!   per column block with direct local aggregation) and the forward /
-//!   diagonal / backward solve sweeps;
+//!   per column block with direct local aggregation) and its one
+//!   forward / diagonal / backward solve sweep, [`solve_block_in_place`]
+//!   over `k` right-hand sides ([`solve_in_place`] is the `k = 1` call);
 //! * [`parallel`] — the parallel supernodal **fan-in** engine of the
 //!   paper's Fig. 1, fully driven by the static schedule from
 //!   `pastix-sched` and running on the in-process message-passing runtime;
@@ -40,7 +42,6 @@ pub mod plan;
 pub mod psolve;
 pub mod refine;
 pub mod seq;
-pub mod seq_left;
 pub mod storage;
 
 pub use compress::{CompressionConfig, CompressionStrategy};
@@ -52,8 +53,7 @@ pub use pastix_trace::{MetricsRegistry, TraceLog, TraceOptions};
 pub use plan::{run_from_storage, AnalyzeOptions, AnalyzeStats, Plan, SolveOutput, SolveRequest};
 pub use refine::{RefineOptions, RefineOutput};
 pub use seq::{
-    factor_and_solve, factorize_sequential, factorize_sequential_compressed,
-    reconstruction_error, solve_block_in_place, solve_in_place,
+    factor_and_solve, factorize_sequential, reconstruction_error, solve_block_in_place,
+    solve_in_place,
 };
-pub use seq_left::factorize_sequential_left;
 pub use storage::{BlockStore, BlokView, FactorStorage, PanelCompression, PanelLayout};

@@ -937,10 +937,9 @@ pub struct ChaosOptions {
 }
 
 /// The SPMD factorization engine (threads or simulator): `cfg.backend`
-/// selects the execution substrate, `cfg.kernel_mode` is applied for the
-/// run through a scoped guard, and the returned [`FactorRun`] carries the
-/// factor together with the run's [`TraceLog`] and the metrics registry
-/// handle. Called by [`crate::Plan::factorize`]. When `cfg.compression`
+/// selects the execution substrate, and the returned [`FactorRun`] carries
+/// the factor together with the run's [`TraceLog`] and the metrics
+/// registry handle. Called by [`crate::Plan::factorize`]. When `cfg.compression`
 /// is enabled, each rank's comp1d tasks compress their off-diagonal bloks
 /// just-in-time and the collected representations are installed into the
 /// assembled storage (with the `MinimalMemory` post-pass) before the run
@@ -954,7 +953,6 @@ pub(crate) fn factorize_static<T: Scalar>(
 ) -> Result<FactorRun<T>, FactorError> {
     assert!(std::ptr::eq(sym, &graph.split.symbol) || sym == &graph.split.symbol,
         "schedule must be built on the same split symbol");
-    let _mode = cfg.kernel_mode.scoped();
     let layout = PanelLayout::new(sym);
     let routing = build_routing(sym, &layout, graph, sched);
     // All ranks must share one epoch so the report can compare their wall
